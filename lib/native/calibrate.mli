@@ -1,13 +1,10 @@
 (** Host clock and the calibrated spin kernel.
 
     The native backend replaces the simulator's virtual [compute n] with a
-    busy loop tuned so that [spin_ns n] burns approximately [n] real
-    nanoseconds of CPU.  Calibration runs once, lazily, the first time any
-    spin executes; its result is shared by every native engine in the
-    process.  Spins are sliced (about {!slice_ns} per slice) with a
-    [Thread.yield] between slices so sibling systhreads multiplexed on the
-    same domain keep interleaving at a much finer grain than the runtime's
-    50 ms tick. *)
+    busy loop that runs until the host clock shows [n] real nanoseconds
+    have passed.  Calibration runs once, lazily, the first time any spin
+    executes; its result is shared by every native engine in the process
+    and only sizes the slices between clock reads. *)
 
 val now_ns : unit -> int
 (** Host monotonic clock, nanoseconds.  Only differences are meaningful. *)
@@ -16,13 +13,7 @@ val spins_per_ns : unit -> float
 (** Calibrated spin-loop iterations per nanosecond; forces calibration on
     first use. *)
 
-val calibrated : unit -> bool
-(** Whether calibration has already run (it never runs twice). *)
-
-val slice_ns : int
-(** Target duration of one spin slice between yields. *)
-
 val spin_ns : int -> int
-(** Burn approximately [n] ns of CPU and return the measured elapsed
-    nanoseconds (which is what callers should account, so that clock and
-    busy-time bookkeeping agree even when calibration is imperfect). *)
+(** Burn at least [n] ns of CPU (by the host clock) and return the
+    measured elapsed nanoseconds, which is what callers should account so
+    that clock and busy-time bookkeeping agree. *)

@@ -3,14 +3,16 @@
     Same contract as {!Parcae_sim.Chan} — bounded or unbounded,
     multi-producer multi-consumer, order-preserving point-to-point, with
     the [force_send]/[filter]/[drain] operations the pause/flush protocol
-    relies on — implemented as a lock-free Michael–Scott queue with a
-    per-channel monitor used only to park and wake blocked callers.
-    Single ops are one CAS; [send_batch]/[recv_batch] move a whole batch
-    with one CAS (batched reservation).  Capacity is a soft bound: with k
+    relies on — implemented as a lock-free Michael–Scott queue of
+    sequence-numbered nodes, with a per-channel monitor used only to park
+    and wake blocked callers.  A receive is one CAS and a send one CAS
+    plus the tail swing; [send_batch]/[recv_batch] move a whole batch with
+    one CAS (batched reservation).  [length] and the totals are derived
+    from the nodes' sequence numbers.  Capacity is a soft bound: with k
     concurrent producers occupancy can transiently exceed it by at most
-    k-1 items.  No virtual [chan_op] cost is charged: on real hardware
-    the CAS and wake-up traffic {e is} the communication cost, and it
-    lands in wall time where Decima can see it. *)
+    k-1 items.  No virtual [chan_op] cost is charged: on real hardware the
+    CAS and wake-up traffic {e is} the communication cost, and it lands in
+    wall time where Decima can see it. *)
 
 type 'a t
 
@@ -22,7 +24,11 @@ val name : 'a t -> string
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 val total_sent : 'a t -> int
+(** Items enqueued, not counting a [filter]'s re-enqueued survivors. *)
+
 val total_received : 'a t -> int
+(** Items dequeued; an item dropped by [filter]/[drain] was sent but is
+    never received. *)
 
 val send : 'a t -> 'a -> unit
 val recv : 'a t -> 'a

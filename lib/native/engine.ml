@@ -592,8 +592,12 @@ module Monitor = struct
 
   type c = {
     mon : m;
-    cv : Condition.t;  (* system-thread waiters *)
-    fibers : (unit -> unit) Queue.t;  (* fiber waiters, FIFO *)
+    cv : Condition.t;  (* system-thread waiters block here *)
+    waiters : (unit -> unit) Queue.t;  (* parked waiters' wake-ups, FIFO *)
+    parked : int Atomic.t;
+        (* waiters registered in [waiters], plus any [await] caller between
+           announcing itself and re-checking its predicate.  Raised by the
+           waiter, lowered by whoever dequeues its wake-up. *)
   }
 
   let create () = { mu = Mutex.create (); owner = -1 }
@@ -627,42 +631,87 @@ module Monitor = struct
           raise e
     end
 
-  let cond m = { mon = m; cv = Condition.create (); fibers = Queue.create () }
+  let cond m =
+    { mon = m; cv = Condition.create (); waiters = Queue.create (); parked = Atomic.make 0 }
+
   let monitor_of c = c.mon
+
+  (* Register a wake-up in [c.waiters], release the monitor, and return
+     once a waker has dequeued it, holding the monitor again.  The caller
+     has already counted itself in [parked]; the waker uncounts it.  A
+     system thread re-waits on its own flag, so a spurious condition
+     wake-up neither returns early nor disturbs the count. *)
+  let park c =
+    let m = c.mon in
+    if in_fiber () then begin
+      suspend (fun resume ->
+          (* Runs after the continuation is captured, on this thread:
+             register, then release the monitor.  A waker needs the
+             monitor to dequeue us, so the wake-up cannot be lost. *)
+          Queue.push resume c.waiters;
+          unlock m);
+      lock m
+    end
+    else begin
+      let woken = ref false in
+      Queue.push
+        (fun () ->
+          woken := true;
+          Condition.broadcast c.cv)
+        c.waiters;
+      m.owner <- -1;
+      while not !woken do
+        Condition.wait c.cv m.mu
+      done;
+      m.owner <- me ()
+    end
 
   (* Atomically release the monitor and wait; reacquire before returning.
      Mesa semantics — the caller re-checks its predicate in a loop. *)
   let wait c =
-    let m = c.mon in
-    if not (held m) then invalid_arg "Monitor.wait: monitor not held";
-    if in_fiber () then begin
-      suspend (fun resume ->
-          (* Runs after the continuation is captured, on this thread:
-             register, then release the monitor.  A signaler needs the
-             monitor to pop us, so the wakeup cannot be lost. *)
-          Queue.push resume c.fibers;
-          m.owner <- -1;
-          Mutex.unlock m.mu);
-      lock m
-    end
-    else begin
-      m.owner <- -1;
-      Condition.wait c.cv m.mu;
-      m.owner <- me ()
-    end
+    if not (held c.mon) then invalid_arg "Monitor.wait: monitor not held";
+    Atomic.incr c.parked;
+    park c
 
-  let signal c =
+  (* Counted await: announce in [parked] before re-checking [ready].  A
+     waker makes its change first and reads [parked] second, so under
+     sequentially consistent atomics one of the two sees the other and the
+     wake-up cannot be lost. *)
+  let await c ready =
     locked c.mon (fun () ->
-        match Queue.take_opt c.fibers with
-        | Some resume -> resume ()
-        | None -> Condition.signal c.cv)
+        let rec loop () =
+          Atomic.incr c.parked;
+          match ready () with
+          | true -> Atomic.decr c.parked
+          | false ->
+              park c;
+              loop ()
+          | exception e ->
+              Atomic.decr c.parked;
+              raise e
+        in
+        loop ())
 
-  let broadcast c =
-    locked c.mon (fun () ->
-        while not (Queue.is_empty c.fibers) do
-          (Queue.pop c.fibers) ()
-        done;
-        Condition.broadcast c.cv)
+  (* Dequeue and run one wake-up; the monitor is held. *)
+  let wake_one c =
+    match Queue.take_opt c.waiters with
+    | Some wake ->
+        Atomic.decr c.parked;
+        wake ()
+    | None -> ()
+
+  let wake_every c =
+    while not (Queue.is_empty c.waiters) do
+      Atomic.decr c.parked;
+      (Queue.pop c.waiters) ()
+    done
+
+  let signal c = locked c.mon (fun () -> wake_one c)
+  let broadcast c = locked c.mon (fun () -> wake_every c)
+
+  (* The [await] counterparts: free unless someone is parked. *)
+  let wake c = if Atomic.get c.parked > 0 then signal c
+  let wake_all c = if Atomic.get c.parked > 0 then broadcast c
 end
 
 (* ------------------------------------------------------------------ *)

@@ -116,10 +116,33 @@ module Monitor : sig
       returning.  Must be called with the monitor held. *)
 
   val signal : c -> unit
-  (** Wake one waiter (fiber waiters first, FIFO).  Takes the monitor
-      internally; callable with or without it held. *)
+  (** Wake one waiter (FIFO).  Takes the monitor internally; callable
+      with or without it held. *)
 
   val broadcast : c -> unit
+
+  (** {2 Counted await/wake}
+
+      For structures whose state lives in atomics outside the monitor
+      (the channels).  Each condition counts its parked waiters: a waiter
+      counts itself before re-checking its predicate, and the waker that
+      dequeues it uncounts it, so the count drops as soon as the wake-up
+      is issued.  A waker that changes the state first and reads the
+      count second can therefore skip the monitor whenever nobody is
+      parked, without ever losing a wake-up. *)
+
+  val await : c -> (unit -> bool) -> unit
+  (** [await c ready] returns once [ready ()] holds, parking on [c] in
+      between.  [ready] runs under the monitor and must read state that
+      wakers change before calling {!wake}. *)
+
+  val wake : c -> unit
+  (** [signal] if someone is parked on the condition; otherwise one
+      atomic load. *)
+
+  val wake_all : c -> unit
+  (** [broadcast] if someone is parked on the condition; otherwise one
+      atomic load. *)
 end
 
 val task_engine : task -> t

@@ -3,7 +3,9 @@
     Decima observes the application through begin/end hooks inserted into
     task functors and through load callbacks, and the platform through a
     registry of named feature callbacks.  Hooks cost the machine's
-    rdtsc-equivalent; counters are plain shared-memory fields. *)
+    rdtsc-equivalent.  The additive counters are lane-local: each
+    worker's {!hook_slot} carries its own sums, and every reader adds
+    them up exactly. *)
 
 type t
 
@@ -21,10 +23,13 @@ val set_names : t -> region:string -> scheme:string -> tasks:string array -> uni
     registry series are cumulative, so a switch starts fresh series rather
     than clearing history. *)
 
-(** {1 Hooks}
+(** {1 Hooks and counts}
 
     A hook pair measures the CPU a worker consumed between begin and end,
-    excluding time blocked on channels. *)
+    excluding time blocked on channels.  Hooks and counts go through the
+    worker's own slot: only that worker writes it, so lanes never share a
+    counter on the per-instance path.  A slot registers with the monitor
+    on first use and serves one monitor. *)
 
 type hook_slot
 
@@ -32,18 +37,22 @@ val make_slot : unit -> hook_slot
 val hook_begin : t -> hook_slot -> unit
 val hook_end : t -> task:int -> hook_slot -> unit
 
-val tick : t -> int -> unit
-(** Record the completion of one dynamic instance of a task. *)
+val count : t -> hook_slot -> int -> int -> unit
+(** [count t slot i n] records [n] completed instances of task [i] on the
+    slot's worker — how a batch-draining stage reports its whole claim in
+    one call.  No-op for [n <= 0] or an out-of-range task. *)
 
-val tick_n : t -> int -> int -> unit
-(** [tick_n t i n] records [n] completed instances of task [i] in one
-    call — how a batch-draining stage reports its whole claim.  No-op for
-    [n <= 0] or an out-of-range task. *)
+val retire : t -> hook_slot -> unit
+(** Fold the slot's sums into the monitor and unregister it; the worker
+    calls it once, after its last hook and count. *)
 
 val complete : t -> unit
 (** Record the completion of one region-level unit of work. *)
 
 val iters : t -> int -> int
+(** Completed instances of a task since the last reset, summed over
+    retired and live slots. *)
+
 val completions : t -> int
 val hook_calls : t -> int
 

@@ -199,8 +199,8 @@ let region_worker (r : Region.t) (task : Task.t) idx tc lane =
        [ctx.items] regardless of status (a batch cut short by a sentinel
        still processed its prefix); classic bodies leave it at -1 and are
        counted one instance per Iterating, as before. *)
-    if ctx.Task.items >= 0 then Decima.tick_n r.Region.decima idx ctx.Task.items
-    else if status = Task_status.Iterating then Decima.tick r.Region.decima idx;
+    if ctx.Task.items >= 0 then Decima.count r.Region.decima slot idx ctx.Task.items
+    else if status = Task_status.Iterating then Decima.count r.Region.decima slot idx 1;
     match status with
     | Task_status.Iterating ->
         (* First completed iteration after a resume closes the restart and
@@ -228,6 +228,9 @@ let region_worker (r : Region.t) (task : Task.t) idx tc lane =
         continue_ := false
   done;
   Option.iter (fun f -> f ()) task.Task.fini;
+  (* Fold this lane's counts in before it parks: once a pause sees every
+     worker parked, the monitor's base arrays hold the region's totals. *)
+  Decima.retire r.Region.decima slot;
   (* The park transition runs under the control-plane monitor: worker
      counting, the first-park ledger stamp and the last-worker status
      decision must be atomic against pause/resume and each other. *)

@@ -244,10 +244,21 @@ let flip_ns = 2_000_000
 let low_high () = if Engine.now () < flip_ns then 1.0 else 10.0
 let high_low () = if Engine.now () < flip_ns then 10.0 else 1.0
 
+(* [low_high] timed from its first reading instead of from engine
+   creation.  A native pool's domains can take milliseconds to start on a
+   loaded host, and with the flip dated from engine creation Morta's first
+   observations could already fall in the high phase. *)
+let low_high_from_first_reading () =
+  let t_first = ref (-1) in
+  fun () ->
+    let now = Engine.now () in
+    if !t_first < 0 then t_first := now;
+    if now - !t_first < flip_ns then 1.0 else 10.0
+
 (* WQT-H starts Heavy; a sustained low load toggles it Light, and the later
    high load toggles it back — two decisions with distinct reasons. *)
-let wqt_h_mech () =
-  Mech.Wqt_h.make ~load:low_high ~threshold:5.0 ~non:2 ~noff:2
+let wqt_h_mech ?(load = low_high) () =
+  Mech.Wqt_h.make ~load ~threshold:5.0 ~non:2 ~noff:2
     ~light:(Config.make [ Config.task 2 ])
     ~heavy:(Config.make [ Config.task 3 ])
     ()
@@ -305,7 +316,10 @@ let test_mechanism_replay_sim () =
 
 let test_mechanism_replay_native () =
   let eng = Engine.create_native ~pool:2 () in
-  let entries = mech_log eng ~iters:2_000 ~work:5_000 ~dop:3 ~mechanism:(wqt_h_mech ()) in
+  let entries =
+    mech_log eng ~iters:2_000 ~work:5_000 ~dop:3
+      ~mechanism:(wqt_h_mech ~load:(low_high_from_first_reading ()) ())
+  in
   Engine.shutdown eng;
   (* Real time makes the second toggle racy against region completion; the
      first (light) toggle is deterministic — sustained low load from t=0. *)

@@ -513,6 +513,214 @@ let test_native_empty_reservoir_contracts () =
   Engine.shutdown eng;
   check_bool "contract checks ran on the native domain" true !checked
 
+(* ------------------------------------------------------------------ *)
+(* The native channel core and the lane-local Decima counts.           *)
+(* ------------------------------------------------------------------ *)
+
+module NE = Parcae_native.Engine
+module NC = Parcae_native.Chan
+
+let deadline_in ne secs = NE.now ne + (secs * 1_000_000_000)
+
+(* Two producer and two consumer fibers on two domains through a
+   capacity-4 channel, every send and receive flavour mixed: each value
+   arrives exactly once, each consumer sees each producer's values in
+   send order, and at quiescence the derived totals balance. *)
+let test_chan_core_exactly_once () =
+  let per_producer = 4_000 in
+  let ne = NE.create ~pool:2 () in
+  let ch = NC.create ~capacity:4 ne "core" in
+  let value p i = (p * 1_000_000) + i in
+  let producer p () =
+    let i = ref 0 in
+    while !i < per_producer do
+      let v = value p !i in
+      (match !i mod 4 with
+      | 0 -> NC.send ch v
+      | 1 ->
+          let k = min 3 (per_producer - !i) in
+          NC.send_batch ch (List.init k (fun j -> value p (!i + j)));
+          i := !i + k - 1
+      | 2 -> NC.force_send ch v
+      | _ ->
+          while not (NC.try_send ch v) do
+            NE.yield ne
+          done);
+      incr i
+    done
+  in
+  let sentinel = -1 and put_back = Atomic.make 0 in
+  let streams = Array.make 2 [] in
+  let consumer c () =
+    let got = ref [] and stop = ref false and k = ref 0 in
+    (* Keep the values of a claim up to its first sentinel; the second
+       consumer's sentinel goes back. *)
+    let take vs =
+      List.iter
+        (fun v ->
+          if v <> sentinel then got := v :: !got
+          else if !stop then begin
+            Atomic.incr put_back;
+            NC.force_send ch v
+          end
+          else stop := true)
+        vs
+    in
+    while not !stop do
+      (match !k mod 3 with
+      | 0 -> take [ NC.recv ch ]
+      | 1 -> take (NC.recv_batch ~max:3 ch)
+      | _ -> (
+          match NC.try_recv ch with Some v -> take [ v ] | None -> NE.yield ne));
+      incr k
+    done;
+    streams.(c) <- List.rev !got
+  in
+  let producers = List.init 2 (fun p -> NE.spawn ne ~name:(Printf.sprintf "p%d" p) (producer p)) in
+  ignore
+    (NE.spawn ne ~name:"closer" (fun () ->
+         List.iter NE.join producers;
+         NC.force_send ch sentinel;
+         NC.force_send ch sentinel));
+  for c = 0 to 1 do
+    ignore (NE.spawn ne ~name:(Printf.sprintf "c%d" c) (consumer c))
+  done;
+  ignore (NE.run ~until:(deadline_in ne 60) ne);
+  check_int "every fiber finished" 0 (NE.live_threads ne);
+  let all = List.sort compare (streams.(0) @ streams.(1)) in
+  Alcotest.(check (list int))
+    "every value exactly once"
+    (List.concat_map (fun p -> List.init per_producer (value p)) [ 0; 1 ])
+    all;
+  Array.iteri
+    (fun c stream ->
+      List.iter
+        (fun p ->
+          let sub = List.filter (fun v -> v / 1_000_000 = p) stream in
+          check_bool
+            (Printf.sprintf "consumer %d sees producer %d in FIFO order" c p)
+            true
+            (sub = List.sort compare sub))
+        [ 0; 1 ])
+    streams;
+  let msgs = (2 * per_producer) + 2 + Atomic.get put_back in
+  check_int "quiescent length" 0 (NC.length ch);
+  check_int "total_sent" msgs (NC.total_sent ch);
+  check_int "total_received" msgs (NC.total_received ch);
+  (* Flushes: a flushed item counts as sent but never received, and a
+     filter's survivors are not sent twice. *)
+  List.iter (NC.send ch) [ 0; 1; 2; 3 ];
+  check_int "filter drops the odd items" 2 (NC.filter ch (fun v -> v mod 2 = 0));
+  check_int "survivors stay queued" 2 (NC.length ch);
+  check_int "survivors in order" 0 (NC.recv ch);
+  check_int "drain drops the rest" 1 (NC.drain ch);
+  check_int "length after drain" 0 (NC.length ch);
+  check_int "flushed items count as sent" (msgs + 4) (NC.total_sent ch);
+  check_int "flushed items are never received" (msgs + 1) (NC.total_received ch);
+  NE.shutdown ne
+
+(* A capacity-1 ping-pong between a fiber and a system thread, with the
+   fiber one ping ahead, so both sides park both for room and for data.
+   It runs under a deadline: a lost wake-up leaves rounds undone and
+   fails the test instead of hanging it. *)
+let test_chan_pingpong_system_thread () =
+  let rounds = 3_000 in
+  let ne = NE.create ~pool:2 () in
+  let ping = NC.create ~capacity:1 ne "ping" and pong = NC.create ~capacity:1 ne "pong" in
+  let echoed = Atomic.make 0 and in_order = Atomic.make true in
+  let echo =
+    Thread.create
+      (fun () ->
+        for _ = 1 to rounds do
+          NC.send pong (NC.recv ping);
+          Atomic.incr echoed
+        done)
+      ()
+  in
+  let returned = ref 0 in
+  ignore
+    (NE.spawn ne ~name:"pinger" (fun () ->
+         let expect i = if NC.recv pong <> i then Atomic.set in_order false in
+         NC.send ping 0;
+         for i = 1 to rounds - 1 do
+           NC.send ping i;
+           expect (i - 1);
+           incr returned
+         done;
+         expect (rounds - 1);
+         incr returned));
+  ignore (NE.run ~until:(deadline_in ne 60) ne);
+  let ok = !returned = rounds && Atomic.get echoed = rounds in
+  (* Join the echo thread only if it finished: after a lost wake-up it
+     would block forever. *)
+  if ok then Thread.join echo;
+  NE.shutdown ne;
+  check_int "fiber got every pong back" rounds !returned;
+  check_int "system thread echoed every ping" rounds (Atomic.get echoed);
+  check_bool "pongs in ping order" true (Atomic.get in_order)
+
+(* Regression: two transform lanes on two domains used to share Decima's
+   per-task counters and lose increments.  Every task of a 200 000-item
+   run must count exactly 200 000 instances.  The transform does a little
+   integer work so that both lanes stay busy at once. *)
+let test_decima_counts_exact () =
+  let n = 200_000 in
+  let mix v =
+    let x = ref (v lor 1) in
+    for _ = 1 to 100 do
+      x := !x lxor (!x lsl 13);
+      x := !x lxor (!x lsr 7)
+    done;
+    !x
+  in
+  let eng = Engine.create_native ~pool:2 () in
+  let q1 = Chan.create ~capacity:256 eng "dq1" and q2 = Chan.create ~capacity:256 eng "dq2" in
+  let next = ref 0 and consumed = ref 0 in
+  let produce =
+    Pipeline.source ~name:"produce" ~forward:(Pipeline.forward_to q1) (fun _ctx ->
+        if !next >= n then Task_status.Complete
+        else begin
+          Pipeline.send q1 !next;
+          incr next;
+          Task_status.Iterating
+        end)
+  in
+  let transform =
+    Pipeline.drain_stage ~name:"transform" ~input:q1 ~load:(Pipeline.load q1) ~next:q2
+      ~forward:(Pipeline.forward_to q2) (fun _ctx v ->
+        ignore (Sys.opaque_identity (mix v));
+        Task_status.Iterating)
+  in
+  let consume =
+    Pipeline.drain_stage ~ttype:Task.Seq ~name:"consume" ~input:q2 ~forward:(fun _ -> ())
+      (fun _ctx _ ->
+        incr consumed;
+        Task_status.Iterating)
+  in
+  let stages = [ produce; transform; consume ] in
+  let pd = Task.descriptor ~name:"counts" (List.map (fun s -> s.Pipeline.task) stages) in
+  let on_reset = Pipeline.make_reset ~stages ~channels:[ q1; q2 ] in
+  let config = Config.make [ Config.seq_task; Config.task 2; Config.seq_task ] in
+  let region = Executor.launch ~budget:4 ~name:"counts" eng [ pd ] ~on_reset config in
+  ignore (Engine.run ~until:60_000_000_000 eng);
+  Engine.shutdown eng;
+  check_int "consumed" n !consumed;
+  List.iteri
+    (fun i name -> check_int (name ^ " iterations") n (Decima.iters region.Region.decima i))
+    [ "produce"; "transform"; "consume" ]
+
+(* [compute n] spins to a clock deadline, so it never comes back early.
+   Only the lower bound is host-independent. *)
+let test_spin_lower_bound () =
+  List.iter
+    (fun n ->
+      let t0 = Parcae_native.Calibrate.now_ns () in
+      let reported = Parcae_native.Calibrate.spin_ns n in
+      let elapsed = Parcae_native.Calibrate.now_ns () - t0 in
+      check_bool (Printf.sprintf "spin %d: reported >= asked" n) true (reported >= n);
+      check_bool (Printf.sprintf "spin %d: elapsed >= asked" n) true (elapsed >= n))
+    [ 1; 1_500; 20_000; 100_000; 450_000 ]
+
 let suite =
   [
     Alcotest.test_case "differential: sim and native agree, traces pass oracle" `Quick
@@ -532,4 +740,12 @@ let suite =
       test_batch_single_charge;
     Alcotest.test_case "native: batch ops and drain pass the trace oracle" `Quick
       test_native_batch_and_flush;
+    Alcotest.test_case "chan: mixed ops on two domains deliver exactly once" `Quick
+      test_chan_core_exactly_once;
+    Alcotest.test_case "chan: capacity-1 ping-pong with a system thread" `Quick
+      test_chan_pingpong_system_thread;
+    Alcotest.test_case "native: Decima counts are exact across lanes" `Quick
+      test_decima_counts_exact;
+    Alcotest.test_case "native: calibrated spin never returns early" `Quick
+      test_spin_lower_bound;
   ]

@@ -312,8 +312,8 @@ let test_decima_hook_edges () =
             check_int "unmatched end: no sample" 0
               (List.length (List.filter (fun e -> hook_task e >= 0) (Sink.events sink)));
             (* Out-of-range task indices are ignored, not fatal. *)
-            R.Decima.tick d 7;
-            R.Decima.tick d (-1);
+            R.Decima.count d slot 7 1;
+            R.Decima.count d slot (-1) 1;
             check_int "out-of-range tick ignored" 0 (R.Decima.iters d 0 + R.Decima.iters d 1);
             R.Decima.hook_begin d slot;
             Engine.compute 500;

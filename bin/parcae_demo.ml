@@ -605,6 +605,8 @@ let check_cmd =
 (* run                                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Exit 1 when the parallel run's observable result differs from the
+   sequential interpreter's, so scripted runs fail on a violation. *)
 let run kernel file machine_name backend pool budget trace metrics_out profile_out
     flight_out =
   let open Parcae_ir in
@@ -662,8 +664,9 @@ let run kernel file machine_name backend pool budget trace metrics_out profile_o
     (float_of_int !done_at *. 1e-9)
     (float_of_int seq /. float_of_int (max 1 !done_at))
     budget;
-  Printf.printf "semantics:   %s\n"
-    (if Compiler.preserves_semantics h then "preserved" else "VIOLATED")
+  let preserved = Compiler.preserves_semantics h in
+  Printf.printf "semantics:   %s\n" (if preserved then "preserved" else "VIOLATED");
+  if not preserved then exit 1
 
 let run_cmd =
   let term =
@@ -672,7 +675,10 @@ let run_cmd =
       $ trace_arg $ metrics_out_arg $ profile_out_arg $ flight_out_arg)
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Compile a kernel and execute it under the closed-loop controller.")
+    (Cmd.info "run"
+       ~doc:
+         "Compile a kernel and execute it under the closed-loop controller.  Exits 1 when \
+          the result differs from the sequential interpreter's.")
     term
 
 (* ------------------------------------------------------------------ *)

@@ -7,6 +7,7 @@ let () =
       ("core", Test_core.suite);
       ("runtime", Test_runtime.suite);
       ("workloads", Test_workloads.suite);
+      ("interp", Test_interp.suite);
       ("nona", Test_nona.suite);
       ("controller", Test_controller.suite);
       ("properties", Test_properties.suite);

@@ -75,7 +75,7 @@ val drain_stage :
   (Task.ctx -> 'a -> Task_status.t) ->
   'a stage_handle
 (** A batch-draining stage: each invocation claims up to [max_batch]
-    (default 32) messages with one [recv_batch] — never more than this
+    (default 4) messages with one [recv_batch] — never more than this
     lane's share of the input's current depth (depth / DoP), so batching
     cannot starve sibling lanes and light load degenerates to per-item
     behaviour — runs the body on each item, and (when [next] is given)

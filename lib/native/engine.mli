@@ -164,13 +164,6 @@ val task_busy_ns : task -> int
 
 val time : t -> int
 
-val busy_cores : t -> int
-(** Tasks currently inside a [compute] spin. *)
-
-val runnable_count : t -> int
-(** Tasks sitting in the run queues (all deques plus the injection
-    queue), ready but not yet executing. *)
-
 val online_cores : t -> int
 val live_threads : t -> int
 val spawned_threads : t -> int
@@ -190,5 +183,4 @@ val set_online_cores : t -> int -> unit
     OS cores; mechanisms that model resource-availability changes only
     have real effect on the simulator. *)
 
-val live_thread_names : t -> string list
 val seconds_of_ns : int -> float

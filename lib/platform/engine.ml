@@ -190,8 +190,6 @@ let cond_create = function
 let thread_name = function St th -> th.Sim.tname | Nt task -> Nat.task_name task
 let thread_busy_ns = function St th -> th.Sim.busy_ns | Nt task -> Nat.task_busy_ns task
 let time = function S e -> Sim.time e | N e -> Nat.time e
-let busy_cores = function S e -> Sim.busy_cores e | N e -> Nat.busy_cores e
-let runnable_count = function S e -> Sim.runnable_count e | N e -> Nat.runnable_count e
 let online_cores = function S e -> Sim.online_cores e | N e -> Nat.online_cores e
 let live_threads = function S e -> Sim.live_threads e | N e -> Nat.live_threads e
 let spawned_threads = function S e -> Sim.spawned_threads e | N e -> Nat.spawned_threads e
@@ -202,9 +200,5 @@ let set_online_cores t n =
   match t with S e -> Sim.set_online_cores e n | N e -> Nat.set_online_cores e n
 
 let hook_cost = function S e -> (Sim.machine e).Machine.hook | N _ -> 0
-
-let live_thread_names = function
-  | S e -> Sim.live_thread_names e
-  | N e -> Nat.live_thread_names e
 
 let seconds_of_ns = Sim.seconds_of_ns

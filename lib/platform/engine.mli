@@ -146,8 +146,6 @@ val thread_busy_ns : thread -> int
 (** {1 Introspection} *)
 
 val time : t -> int
-val busy_cores : t -> int
-val runnable_count : t -> int
 val online_cores : t -> int
 val live_threads : t -> int
 val spawned_threads : t -> int
@@ -162,5 +160,4 @@ val hook_cost : t -> int
 (** Virtual cost of one Decima begin/end hook: the machine's [hook] on
     sim, 0 on native (the real hook cost is measured, not modelled). *)
 
-val live_thread_names : t -> string list
 val seconds_of_ns : int -> float

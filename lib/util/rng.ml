@@ -4,29 +4,39 @@
    every simulated entity (load generator, per-task jitter, ...) an
    independent stream derived from one experiment seed. *)
 
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer.  A [mutable
+   int64] record field would hold a boxed [Int64], so every draw would
+   allocate a fresh box for the new state; reading and writing the bytes
+   directly keeps the whole step in registers once [next_int64] is
+   inlined into the samplers below. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
+
+let copy = Bytes.copy
 
 (* Core splitmix64 step: advance the state and scramble it into an output. *)
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 (* Derive an independent stream.  Mixing the parent's next output into a new
    state is the standard splitmix splitting construction. *)
-let split t = { state = next_int64 t }
+let split t = of_state (next_int64 t)
 
 (* Uniform float in [0, 1).  Uses the top 53 bits so the result is an exactly
    representable dyadic rational. *)
-let float t =
+let[@inline] float t =
   let bits = Int64.shift_right_logical (next_int64 t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
 
@@ -41,14 +51,14 @@ let bool t = Int64.logand (next_int64 t) 1L = 1L
 
 (* Exponentially distributed draw with the given [rate] (mean 1/rate); used
    for Poisson inter-arrival times in the load generator. *)
-let exponential t ~rate =
+let[@inline] exponential t ~rate =
   if rate <= 0.0 then invalid_arg "Rng.exponential: rate must be positive";
   let u = float t in
   (* 1 - u is in (0, 1], so log is finite. *)
   -.log (1.0 -. u) /. rate
 
 (* Gaussian draw via Box-Muller; used for per-iteration work-time jitter. *)
-let gaussian t ~mu ~sigma =
+let[@inline] gaussian t ~mu ~sigma =
   let u1 = float t and u2 = float t in
   let u1 = if u1 < 1e-300 then 1e-300 else u1 in
   let r = sqrt (-2.0 *. log u1) in

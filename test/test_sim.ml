@@ -356,6 +356,43 @@ let test_run_until () =
   ignore (Engine.run eng);
   check_int "resumed to completion" 100 !steps
 
+(* A finished thread must not stay reachable from the engine: a long
+   server run spawns threads without bound (an inner team per request,
+   a fresh team per reconfiguration).  Rounds 1-2 warm up the event
+   queue and run queue; rounds 3-20 may then add at most one live word
+   per thread. *)
+let test_no_retention_of_finished_threads () =
+  let eng = Engine.create (exact_machine ()) in
+  let per_round = 1_000 and rounds = 20 and warm = 2 in
+  let round () =
+    for _ = 1 to per_round do
+      ignore (Engine.spawn eng ~name:"short" (fun () -> Engine.compute 10))
+    done;
+    ignore (Engine.run eng)
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  for _ = 1 to warm do
+    round ()
+  done;
+  let before = live_words () in
+  for _ = warm + 1 to rounds do
+    round ()
+  done;
+  let after = live_words () in
+  let threads = (rounds - warm) * per_round in
+  (* Using [eng] after the measurement keeps it reachable while [after]
+     is read; a dead engine would be freed with all it retains, and the
+     test would pass whatever the engine kept. *)
+  check_int "all spawned" (rounds * per_round) (Engine.spawned_threads eng);
+  check_int "none live" 0 (Engine.live_threads eng);
+  let per_thread = float_of_int (after - before) /. float_of_int threads in
+  check_bool
+    (Printf.sprintf "%.2f live words retained per finished thread (limit 1)" per_thread)
+    true (per_thread <= 1.0)
+
 let suite =
   [
     Alcotest.test_case "engine: single compute" `Quick test_single_compute;
@@ -379,4 +416,6 @@ let suite =
     Alcotest.test_case "engine: determinism" `Quick test_determinism;
     Alcotest.test_case "engine: thread failure" `Quick test_thread_failure_surfaces;
     Alcotest.test_case "engine: run until" `Quick test_run_until;
+    Alcotest.test_case "engine: finished threads are not retained" `Quick
+      test_no_retention_of_finished_threads;
   ]

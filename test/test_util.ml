@@ -54,6 +54,72 @@ let test_rng_gaussian_moments () =
   Alcotest.(check bool) "mean ~5" true (abs_float (Stats.mean xs -. 5.0) < 0.1);
   Alcotest.(check bool) "stddev ~2" true (abs_float (Stats.stddev xs -. 2.0) < 0.1)
 
+(* Golden streams: the first 1000 draws of each sampler at two seeds,
+   folded into an MD5 of their exact bit patterns, so any change to the
+   generator's output, however small, changes a digest.  Simulations are
+   reproducible across versions only while these hold. *)
+let golden_digest n draw =
+  let b = Buffer.create (n * 17) in
+  for i = 0 to n - 1 do
+    Buffer.add_string b (Printf.sprintf "%Lx;" (draw i))
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden_streams seed =
+  let fbits x = Int64.bits_of_float x in
+  let int_bounds = [| 1; 2; 17; 1000; 1 lsl 40; max_int |] in
+  let rates = [| 0.5; 2.0; 400.0 |] in
+  let fresh f = let r = Rng.create seed in fun i -> f r i in
+  [
+    ("float", fresh (fun r _ -> fbits (Rng.float r)));
+    ("int", fresh (fun r i -> Int64.of_int (Rng.int r int_bounds.(i mod 6))));
+    ("bool", fresh (fun r _ -> if Rng.bool r then 1L else 0L));
+    ("exponential", fresh (fun r i -> fbits (Rng.exponential r ~rate:rates.(i mod 3))));
+    ("gaussian", fresh (fun r _ -> fbits (Rng.gaussian r ~mu:5.0 ~sigma:2.0)));
+    ( "split",
+      fresh (fun r _ ->
+          let child = Rng.split r in
+          Int64.logxor (fbits (Rng.float child)) (Int64.shift_left (fbits (Rng.float r)) 1)) );
+  ]
+
+let golden_expected =
+  [
+    ( 42,
+      [
+        ("float", "98bf2a21ec750624ae2a9952a6732819");
+        ("int", "b3f0c16d98e313ca69f512279d21704f");
+        ("bool", "967d6b9f55bf321cf318a78d917071d7");
+        ("exponential", "610e5b824c752749044be472ba0c4018");
+        ("gaussian", "8853d4af4473e02cffea6acb57037585");
+        ("split", "d5a9c96890b730d372160786322cc392");
+      ] );
+    ( -987654321,
+      [
+        ("float", "8e73b6e3d3e0e79d3ff45856703b3b6f");
+        ("int", "a80d98120dafda82a667c80f1a2b52a1");
+        ("bool", "c8b927f73e37f112cdb7a2118f8294d8");
+        ("exponential", "b59c31d4c5a753fab42ff10510744849");
+        ("gaussian", "125f46a145be972b4c0564950681bc69");
+        ("split", "45b37ed1e216b9288e07293545adf02a");
+      ] );
+  ]
+
+let test_rng_golden () =
+  List.iter
+    (fun (seed, expected) ->
+      List.iter2
+        (fun (name, draw) (name', want) ->
+          assert (name = name');
+          Alcotest.(check string)
+            (Printf.sprintf "seed %d %s" seed name)
+            want (golden_digest 1000 draw))
+        (golden_streams seed) expected)
+    golden_expected;
+  (* A readable anchor beside the digests. *)
+  Alcotest.(check (float 0.0))
+    "first float, seed 42" 0x1.7bae644c5fd6dp-1
+    (Rng.float (Rng.create 42))
+
 (* --------------------------- Stats --------------------------- *)
 
 let test_stats_basic () =
@@ -311,6 +377,7 @@ let suite =
     Alcotest.test_case "rng: int range" `Quick test_rng_int_range;
     Alcotest.test_case "rng: exponential mean" `Quick test_rng_exponential_mean;
     Alcotest.test_case "rng: gaussian moments" `Quick test_rng_gaussian_moments;
+    Alcotest.test_case "rng: golden streams at two seeds" `Quick test_rng_golden;
     Alcotest.test_case "stats: basic" `Quick test_stats_basic;
     Alcotest.test_case "stats: variance" `Quick test_stats_variance;
     Alcotest.test_case "stats: geomean" `Quick test_stats_geomean;

@@ -2,11 +2,12 @@
 
    The zero-allocation work (DESIGN.md section 14) is only honest if it is
    measured: this experiment runs the ferret and x264 serve loops on the
-   simulator backend and a produce|transform|consume pipeline on the
-   native backend, bracketing each run with [Gc] counters, and reports
-   minor words allocated per completed request (host-side allocation —
-   the tax the OCaml allocator charges the runtime itself, independent of
-   the virtual-time cost model).
+   simulator backend (ferret also with metrics and spans on) and a
+   produce|transform|consume pipeline on the native backend, bracketing
+   each run with [Gc] counters, and reports minor words allocated per
+   completed request (host-side allocation — the tax the OCaml allocator
+   charges the runtime itself, independent of the virtual-time cost
+   model).
 
    Output: a table, plus BENCH_alloc.json for CI.  When a baseline file
    exists (bench/alloc_baseline.json, overridable via
@@ -81,6 +82,15 @@ let measure_sim ~name ~config ~m make_app =
 let measure_sim_ferret ?(m = 200) () =
   measure_sim ~name:"ferret" ~config:"even" ~m (fun ~budget eng ->
       Ferret.make ~budget eng)
+
+(* The same ferret loop with a metrics registry and a span collector
+   installed, so the instrumented serve path is gated too. *)
+let measure_sim_ferret_observed ?(m = 200) () =
+  let reg = Parcae_obs.Metrics.create () and sc = Parcae_obs.Span.create () in
+  Parcae_obs.Metrics.with_registry reg (fun () ->
+      Parcae_obs.Span.with_collector sc (fun () ->
+          measure_sim ~name:"ferret-observed" ~config:"even" ~m (fun ~budget eng ->
+              Ferret.make ~budget eng)))
 
 let measure_sim_x264 ?(m = 150) () =
   measure_sim ~name:"x264" ~config:"outer-only" ~m (fun ~budget eng ->
@@ -194,9 +204,13 @@ let check_baseline ~samples path =
           false)
 
 let run () =
-  let samples =
-    [ measure_sim_ferret (); measure_sim_x264 (); measure_native () ]
-  in
+  (* Pools are process-wide, so each row starts with the pools the rows
+     before it left: run in a fixed order, ferret-observed after ferret. *)
+  let native = measure_native () in
+  let x264 = measure_sim_x264 () in
+  let ferret = measure_sim_ferret () in
+  let ferret_observed = measure_sim_ferret_observed () in
+  let samples = [ ferret; ferret_observed; x264; native ] in
   let t =
     Table.create ~title:"Allocation on the serve path (host minor words)"
       ~header:[ "workload"; "backend"; "requests"; "minor words"; "words/req"; "pool hit"; "pool miss" ]

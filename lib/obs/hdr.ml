@@ -22,7 +22,6 @@ type t = {
   counts : int array;  (* (64 - m) * 2^m buckets *)
   mutable count : int;  (* total observations *)
   mutable sum : int;  (* sum of observed values (clamped to >= 0 each) *)
-  mutable min_v : int;  (* smallest observed value, max_int when empty *)
   mutable max_v : int;  (* largest observed value, -1 when empty *)
 }
 
@@ -35,11 +34,8 @@ let create ?(sub_bits = 7) () =
     counts = Array.make ((64 - sub_bits) * sub_count) 0;
     count = 0;
     sum = 0;
-    min_v = max_int;
     max_v = -1;
   }
-
-let relative_error t = 1.0 /. float_of_int t.sub_count
 
 (* Index of the most significant set bit of [v] (v > 0), by shift cascade:
    no dependency on any stdlib clz, and branch-predictable on the hot
@@ -92,12 +88,10 @@ let observe t v =
   t.counts.(index t v) <- t.counts.(index t v) + 1;
   t.count <- t.count + 1;
   t.sum <- t.sum + v;
-  if v < t.min_v then t.min_v <- v;
   if v > t.max_v then t.max_v <- v
 
 let count t = t.count
 let sum t = t.sum
-let min_value t = if t.count = 0 then 0 else t.min_v
 let max_value t = if t.count = 0 then 0 else t.max_v
 let mean t = if t.count = 0 then 0.0 else float_of_int t.sum /. float_of_int t.count
 
@@ -126,14 +120,10 @@ let merge ~into src =
   Array.iteri (fun i c -> if c > 0 then into.counts.(i) <- into.counts.(i) + c) src.counts;
   into.count <- into.count + src.count;
   into.sum <- into.sum + src.sum;
-  if src.count > 0 then begin
-    if src.min_v < into.min_v then into.min_v <- src.min_v;
-    if src.max_v > into.max_v then into.max_v <- src.max_v
-  end
+  if src.max_v > into.max_v then into.max_v <- src.max_v
 
 let clear t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
   t.count <- 0;
   t.sum <- 0;
-  t.min_v <- max_int;
   t.max_v <- -1

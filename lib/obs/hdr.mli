@@ -14,22 +14,18 @@ type t
    memory cost of (64 - sub_bits) * 2^sub_bits words. *)
 val create : ?sub_bits:int -> unit -> t
 
-(* Upper bound on the relative error of any [quantile] estimate. *)
-val relative_error : t -> float
-
 (* Record one value.  Negative values clamp to 0.  Never allocates. *)
 val observe : t -> int -> unit
 
 val count : t -> int
 val sum : t -> int
-val min_value : t -> int
 val max_value : t -> int
 val mean : t -> float
 
 (* [quantile t q] estimates the q-quantile (q in [0,1], clamped) as the
    inclusive upper bound of the bucket holding the rank-⌈q·count⌉
    observation, clamped to the observed maximum — so the estimate [est]
-   of an exact value [x] satisfies x <= est <= x·(1 + relative_error)
+   of an exact value [x] satisfies x <= est <= x·(1 + 1/2^sub_bits)
    rounded up to the next integer.  Returns 0 on an empty histogram. *)
 val quantile : t -> float -> int
 

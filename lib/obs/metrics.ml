@@ -77,9 +77,6 @@ let histogram_sum h = h.h_sum
 type summary = Hdr.t
 
 let observe_summary (s : summary) ns = Hdr.observe s ns
-let summary_quantile (s : summary) q = Hdr.quantile s q
-let summary_count (s : summary) = Hdr.count s
-let summary_sum (s : summary) = Hdr.sum s
 
 (* Quantiles exported for every summary series: the Prometheus-conventional
    ladder a scrape loop expects for tail latency. *)

@@ -53,23 +53,9 @@ type summary = Hdr.t
 val observe_summary : summary -> int -> unit
 (** Record one integer observation (nanoseconds).  Allocation-free. *)
 
-val summary_quantile : summary -> float -> int
-(** Bounded-relative-error quantile estimate in the observed unit
-    (nanoseconds throughout Parcae); see {!Hdr.quantile}. *)
-
-val summary_count : summary -> int
-val summary_sum : summary -> int
-
-val summary_export_quantiles : float list
-(** Quantiles emitted for every summary series in snapshots and
-    Prometheus exposition: 0.5, 0.9, 0.99, 0.999. *)
-
 val log_buckets : base:float -> lo:float -> count:int -> float array
 (** [count] upper bounds starting at [lo], each [base] times the previous.
     @raise Invalid_argument unless [base > 1], [lo > 0], [count > 0]. *)
-
-val duration_ns_buckets : float array
-(** Default buckets for nanosecond durations: 256 ns to ~4.6 hours, x4. *)
 
 val seconds_buckets : float array
 (** Default buckets for response times in seconds: 1 ms to ~65 s, x2. *)
@@ -118,8 +104,9 @@ val gauge : ?help:string -> ?labels:(string * string) list -> t -> string -> gau
 
 val histogram :
   ?help:string -> ?buckets:float array -> ?labels:(string * string) list -> t -> string -> histogram
-(** [buckets] defaults to {!duration_ns_buckets}; only the first creation
-    of a family determines its buckets. *)
+(** [buckets] defaults to nanosecond durations, 256 ns to ~4.6 hours in
+    x4 steps; only the first creation of a family determines its
+    buckets. *)
 
 val summary :
   ?help:string -> ?labels:(string * string) list -> ?sub_bits:int -> t -> string -> summary
@@ -135,7 +122,8 @@ type value =
       (** [counts] are per-bucket (not cumulative) and include the overflow
           bucket, so [Array.length counts = Array.length bounds + 1]. *)
   | Summary_v of { quantiles : (float * float) list; sum : float; count : int }
-      (** [(q, value)] pairs for {!summary_export_quantiles}. *)
+      (** [(q, value)] pairs for q in 0.5, 0.9, 0.99 and 0.999, in every
+          snapshot and Prometheus exposition. *)
 
 type sample = { labels : (string * string) list; value : value }
 

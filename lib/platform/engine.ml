@@ -98,11 +98,6 @@ let spawn_thread ~name body =
 let self () =
   match Nat.self_opt () with Some task -> Nt task | None -> St (Sim.self ())
 
-let self_busy_ns () =
-  match Nat.self_opt () with
-  | Some task -> Nat.task_busy_ns task
-  | None -> (Sim.self ()).Sim.busy_ns
-
 (* Deferred cost accounting: on the simulator the cost accumulates on the
    calling thread and folds into a later burst (bounded skew); on native
    virtual costs are real spins, so charge immediately. *)
@@ -119,8 +114,8 @@ let compute_in eng n =
   | S e -> Sim.compute_in e n
   | N _ -> ( match Nat.self_opt () with Some task -> Nat.compute task n | None -> ())
 
-(* Busy time of the calling context, without the [Self] effect the
-   ambient [self_busy_ns] pays on the simulator. *)
+(* Busy time of the calling context, read without a [Self] effect on the
+   simulator. *)
 let busy_ns_in eng =
   match eng with
   | S e -> Sim.current_busy e
@@ -155,7 +150,6 @@ let engine () =
 
 let monitor_create = function S _ -> Sm | N _ -> Nm (Nat.Monitor.create ())
 let locked m f = match m with Sm -> f () | Nm m -> Nat.Monitor.locked m f
-let monitor_held = function Sm -> true | Nm m -> Nat.Monitor.held m
 
 let cond_in = function
   | Sm -> Sc (Sim.cond_create ())
@@ -188,7 +182,6 @@ let cond_create = function
   | N _ -> Nc (Nat.Monitor.cond (Nat.Monitor.create ()))
 
 let thread_name = function St th -> th.Sim.tname | Nt task -> Nat.task_name task
-let thread_busy_ns = function St th -> th.Sim.busy_ns | Nt task -> Nat.task_busy_ns task
 let time = function S e -> Sim.time e | N e -> Nat.time e
 let online_cores = function S e -> Sim.online_cores e | N e -> Nat.online_cores e
 let live_threads = function S e -> Sim.live_threads e | N e -> Nat.live_threads e

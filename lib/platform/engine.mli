@@ -69,10 +69,6 @@ val sleep_until : int -> unit
 val spawn_thread : name:string -> (unit -> unit) -> thread
 val self : unit -> thread
 
-val self_busy_ns : unit -> int
-(** Total CPU consumed by the calling thread — virtual ns on sim, measured
-    spin ns on native.  What Decima's begin/end hooks read. *)
-
 val charge : t -> int -> unit
 (** Consume [n] ns of CPU with deferred accounting on the simulator: the
     cost accumulates on the calling thread and folds into a later compute
@@ -88,9 +84,9 @@ val compute_in : t -> int -> unit
     stage bursts use this. *)
 
 val busy_ns_in : t -> int
-(** {!self_busy_ns} for the calling thread of [eng], without the [Self]
-    effect the ambient read pays on the simulator; includes any cost
-    deferred by {!charge}.  Hot monitor hooks use this. *)
+(** Total CPU consumed by the calling thread of [eng] — virtual ns on
+    sim, measured spin ns on native — including any cost deferred by
+    {!charge}.  Read without an effect, so hot monitor hooks use it. *)
 
 val engine : unit -> t
 (** The engine of the calling thread. *)
@@ -117,7 +113,6 @@ val current_task_id : unit -> int option
 
 val monitor_create : t -> monitor
 val locked : monitor -> (unit -> 'a) -> 'a
-val monitor_held : monitor -> bool
 
 val cond_in : monitor -> cond
 (** A condition tied to [monitor]: check-then-wait protocols hold the
@@ -141,7 +136,6 @@ val cond_create : t -> cond
     predicate involves shared state. *)
 
 val thread_name : thread -> string
-val thread_busy_ns : thread -> int
 
 (** {1 Introspection} *)
 

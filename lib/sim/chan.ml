@@ -6,7 +6,13 @@
    which is how communication overhead erodes parallel efficiency in the
    simulation (Section 2.3 of the paper).  Channels are multi-producer
    multi-consumer; used single-producer single-consumer they preserve
-   sequential order, which the pause/reconfigure protocol relies on. *)
+   sequential order, which the pause/reconfigure protocol relies on.
+
+   Each operation has one body, the same whether or not anything observes
+   it, and that body allocates nothing of its own: the wait loops are
+   top-level functions that return whether they waited, the block start
+   time is a field read of the engine clock, and every sink (metrics,
+   timeline, trace, sanitizer) is one test of its install cell. *)
 
 module Metrics = Parcae_obs.Metrics
 module Trace = Parcae_obs.Trace
@@ -94,31 +100,39 @@ let note_depth ch =
   if Metrics.enabled () then
     Metrics.set_gauge (handles ch).cm_depth (float_of_int (Ring.length ch.q))
 
-(* The wait instruments want a start time when either sink is live. *)
-let observing () = Metrics.enabled () || Timeline.enabled ()
-
-(* Any live sink (metrics, timeline, trace, sanitizer) routes operations
-   through the fully instrumented paths.  With all sinks disabled — the
-   serving steady state — the fast paths below run instead; they keep the
-   counters and the blocking protocol bit-identical but allocate nothing
-   (no closures, refs or options per operation). *)
-let instrumented () =
-  Metrics.enabled () || Timeline.enabled () || Trace.enabled () || Hb.enabled ()
-
 (* Explain a measured block as Chan_wait on the core the thread last
    computed on (non-burst code runs off-core in the sim).  While blocked
    the thread held no core — the wait displaced Park time on that lane,
    which is exactly what the timeline's idle-first attribution transfer
    expresses. *)
-let tl_wait waited t0 =
-  if waited then
-    match Timeline.get () with
-    | Some tl ->
-        let th = Engine.self () in
-        let core = if th.Engine.core >= 0 then th.Engine.core else th.Engine.last_core in
-        if core >= 0 && core < Timeline.lanes tl then
-          Timeline.attribute tl ~lane:core Timeline.Chan_wait (Engine.now () - t0)
-    | None -> ()
+let tl_wait ch t0 =
+  match Timeline.get () with
+  | Some tl ->
+      let th = Engine.self () in
+      let core = if th.Engine.core >= 0 then th.Engine.core else th.Engine.last_core in
+      if core >= 0 && core < Timeline.lanes tl then
+        Timeline.attribute tl ~lane:core Timeline.Chan_wait (Engine.time ch.eng - t0)
+  | None -> ()
+
+(* Account [k] items moved by one operation that started waiting at [t0]
+   if it [waited]: counters, depth gauge, block histogram, timeline. *)
+let note_send ch k waited t0 =
+  if Metrics.enabled () then begin
+    let h = handles ch in
+    Metrics.inc_by h.cm_sends k;
+    Metrics.set_gauge h.cm_depth (float_of_int (Ring.length ch.q));
+    if waited then Metrics.observe_ns h.cm_send_block (Engine.time ch.eng - t0)
+  end;
+  if waited then tl_wait ch t0
+
+let note_recv ch k waited t0 =
+  if Metrics.enabled () then begin
+    let h = handles ch in
+    Metrics.inc_by h.cm_recvs k;
+    Metrics.set_gauge h.cm_depth (float_of_int (Ring.length ch.q));
+    if waited then Metrics.observe_ns h.cm_recv_block (Engine.time ch.eng - t0)
+  end;
+  if waited then tl_wait ch t0
 
 (* Sanitizer edges use the exact (chan, seq) FIFO pairing.  The send-side
    clock must be published before any other thread can observe the item:
@@ -133,7 +147,7 @@ let hb_recv ch seq =
 let emit_send ch seq =
   if Trace.enabled () then begin
     let th = Engine.self () in
-    Trace.emit ~t:(Engine.now ())
+    Trace.emit ~t:(Engine.time ch.eng)
       (Event.Chan_send_ev
          { chan = ch.name; seq; task = th.Engine.tid; busy_ns = th.Engine.busy_ns })
   end
@@ -141,7 +155,7 @@ let emit_send ch seq =
 let emit_recv ch seq =
   if Trace.enabled () then begin
     let th = Engine.self () in
-    Trace.emit ~t:(Engine.now ())
+    Trace.emit ~t:(Engine.time ch.eng)
       (Event.Chan_recv_ev
          { chan = ch.name; seq; task = th.Engine.tid; busy_ns = th.Engine.busy_ns })
   end
@@ -150,6 +164,7 @@ let length ch = Ring.length ch.q
 let is_empty ch = Ring.is_empty ch.q
 let total_sent ch = ch.total_sent
 let total_received ch = ch.total_received
+let is_full ch = ch.capacity > 0 && Ring.length ch.q >= ch.capacity
 
 (* The blocking operations share a discipline: the op cost is computed
    immediately ([compute_in]) — a channel operation is a synchronization
@@ -161,240 +176,125 @@ let total_received ch = ch.total_received
    flush — waiting right after one could miss a signal sent while the
    thread was off the waiter queue.
 
-   The wait helpers are top-level recursive functions on purpose: a local
-   [let rec loop] closes over the operation's locals and is allocated per
-   call, which the instrumentation-off fast paths must not do. *)
-let rec wait_nonfull ch =
-  if ch.capacity > 0 && Ring.length ch.q >= ch.capacity then begin
+   The wait loops return whether they waited; [waited] is the caller's
+   verdict so far, so a batch can thread it through its items. *)
+let rec wait_nonfull ch waited =
+  if is_full ch then begin
     if not (Engine.flush_charges ch.eng) then Engine.wait_on_in ch.eng ch.nonfull;
-    wait_nonfull ch
+    wait_nonfull ch true
   end
+  else waited
 
-let rec wait_nonempty ch =
+let rec wait_nonempty ch waited =
   if Ring.is_empty ch.q then begin
     if not (Engine.flush_charges ch.eng) then Engine.wait_on_in ch.eng ch.nonempty;
-    wait_nonempty ch
+    wait_nonempty ch true
   end
+  else waited
+
+(* Enqueue [v] and wake one receiver; returns the item's send number. *)
+let push ch v =
+  let seq = ch.total_sent in
+  Ring.push ch.q v;
+  ch.total_sent <- seq + 1;
+  hb_send ch seq;
+  Engine.signal ch.nonempty;
+  seq
+
+(* Number the item just dequeued; returns its receive number.  The wake-up
+   of blocked senders is left to the caller: one [signal] per receive, one
+   [broadcast] per batch. *)
+let popped ch =
+  let seq = ch.total_received in
+  ch.total_received <- seq + 1;
+  hb_recv ch seq;
+  seq
 
 (* Enqueue [v], blocking while the channel is at capacity. *)
-let send_slow ch v =
-  let waited = ref false in
-  let t0 = if observing () then Engine.now () else 0 in
-  let rec loop () =
-    if ch.capacity > 0 && Ring.length ch.q >= ch.capacity then begin
-      waited := true;
-      if not (Engine.flush_charges ch.eng) then Engine.wait_on_in ch.eng ch.nonfull;
-      loop ()
-    end
-    else begin
-      let seq = ch.total_sent in
-      Ring.push ch.q v;
-      ch.total_sent <- seq + 1;
-      hb_send ch seq;
-      Engine.signal ch.nonempty;
-      seq
-    end
-  in
-  let seq = loop () in
-  if Metrics.enabled () then begin
-    let h = handles ch in
-    Metrics.inc h.cm_sends;
-    Metrics.set_gauge h.cm_depth (float_of_int (Ring.length ch.q));
-    if !waited then Metrics.observe_ns h.cm_send_block (Engine.now () - t0)
-  end;
-  tl_wait !waited t0;
-  emit_send ch seq
-
 let send ch v =
   Engine.compute_in ch.eng ch.op_cost;
-  if instrumented () then send_slow ch v
-  else begin
-    wait_nonfull ch;
-    Ring.push ch.q v;
-    ch.total_sent <- ch.total_sent + 1;
-    Engine.signal ch.nonempty
-  end
+  let t0 = Engine.time ch.eng in
+  let waited = wait_nonfull ch false in
+  let seq = push ch v in
+  note_send ch 1 waited t0;
+  emit_send ch seq
 
 (* Dequeue, blocking while the channel is empty. *)
-let recv_slow ch =
-  let waited = ref false in
-  let t0 = if observing () then Engine.now () else 0 in
-  let rec loop () =
-    match Ring.pop_opt ch.q with
-    | Some v ->
-        let seq = ch.total_received in
-        ch.total_received <- seq + 1;
-        hb_recv ch seq;
-        Engine.signal ch.nonfull;
-        (v, seq)
-    | None ->
-        waited := true;
-        if not (Engine.flush_charges ch.eng) then Engine.wait_on_in ch.eng ch.nonempty;
-        loop ()
-  in
-  let v, seq = loop () in
-  if Metrics.enabled () then begin
-    let h = handles ch in
-    Metrics.inc h.cm_recvs;
-    Metrics.set_gauge h.cm_depth (float_of_int (Ring.length ch.q));
-    if !waited then Metrics.observe_ns h.cm_recv_block (Engine.now () - t0)
-  end;
-  tl_wait !waited t0;
-  emit_recv ch seq;
-  v
-
 let recv ch =
   Engine.charge ch.eng ch.op_cost;
-  if instrumented () then recv_slow ch
-  else begin
-    wait_nonempty ch;
-    let v = Ring.pop ch.q in
-    ch.total_received <- ch.total_received + 1;
-    Engine.signal ch.nonfull;
-    v
-  end
+  let t0 = Engine.time ch.eng in
+  let waited = wait_nonempty ch false in
+  let v = Ring.pop ch.q in
+  let seq = popped ch in
+  Engine.signal ch.nonfull;
+  note_recv ch 1 waited t0;
+  emit_recv ch seq;
+  v
 
 (* Enqueue [v] regardless of capacity.  Control sentinels use this: a lane
    re-enqueueing a sentinel it just consumed must never block, or the
    pause/flush protocol could deadlock on a full channel. *)
 let force_send ch v =
   Engine.compute_in ch.eng ch.op_cost;
-  let seq = ch.total_sent in
-  Ring.push ch.q v;
-  ch.total_sent <- seq + 1;
-  hb_send ch seq;
-  if Metrics.enabled () then begin
-    let h = handles ch in
-    Metrics.inc h.cm_sends;
-    Metrics.set_gauge h.cm_depth (float_of_int (Ring.length ch.q))
-  end;
-  emit_send ch seq;
-  Engine.signal ch.nonempty
+  let seq = push ch v in
+  note_send ch 1 false 0;
+  emit_send ch seq
 
-(* Non-blocking receive. *)
+(* Non-blocking receive.  The item is numbered at the pop: the charge can
+   suspend, and a receiver that pops meanwhile must not take its number. *)
 let try_recv ch =
-  match Ring.pop_opt ch.q with
-  | Some v ->
-      Engine.charge ch.eng ch.op_cost;
-      let seq = ch.total_received in
-      ch.total_received <- seq + 1;
-      hb_recv ch seq;
-      if Metrics.enabled () then begin
-        let h = handles ch in
-        Metrics.inc h.cm_recvs;
-        Metrics.set_gauge h.cm_depth (float_of_int (Ring.length ch.q))
-      end;
-      emit_recv ch seq;
-      Engine.signal ch.nonfull;
-      Some v
-  | None -> None
+  if Ring.is_empty ch.q then None
+  else begin
+    let v = Ring.pop ch.q in
+    let seq = popped ch in
+    Engine.charge ch.eng ch.op_cost;
+    Engine.signal ch.nonfull;
+    note_recv ch 1 false 0;
+    emit_recv ch seq;
+    Some v
+  end
 
 (* Non-blocking send; [false] if the channel is full. *)
 let try_send ch v =
-  if ch.capacity > 0 && Ring.length ch.q >= ch.capacity then false
+  if is_full ch then false
   else begin
     Engine.compute_in ch.eng ch.op_cost;
-    let seq = ch.total_sent in
-    Ring.push ch.q v;
-    ch.total_sent <- seq + 1;
-    hb_send ch seq;
-    if Metrics.enabled () then begin
-      let h = handles ch in
-      Metrics.inc h.cm_sends;
-      Metrics.set_gauge h.cm_depth (float_of_int (Ring.length ch.q))
-    end;
+    let seq = push ch v in
+    note_send ch 1 false 0;
     emit_send ch seq;
-    Engine.signal ch.nonempty;
     true
   end
 
 (* Enqueue a whole batch for a single [chan_op] charge — the amortized
    communication of Section 2.3.  Blocks (after the charge) whenever the
    next item would overflow a bounded channel. *)
-let send_batch_slow ch vs =
-  let waited = ref false in
-  let t0 = if observing () then Engine.now () else 0 in
-  List.iter
-    (fun v ->
-      while ch.capacity > 0 && Ring.length ch.q >= ch.capacity do
-        waited := true;
-        if not (Engine.flush_charges ch.eng) then Engine.wait_on_in ch.eng ch.nonfull
-      done;
-      let seq = ch.total_sent in
-      Ring.push ch.q v;
-      ch.total_sent <- seq + 1;
-      hb_send ch seq;
-      emit_send ch seq;
-      Engine.signal ch.nonempty)
-    vs;
-  if Metrics.enabled () then begin
-    let h = handles ch in
-    Metrics.inc_by h.cm_sends (List.length vs);
-    Metrics.set_gauge h.cm_depth (float_of_int (Ring.length ch.q));
-    if !waited then Metrics.observe_ns h.cm_send_block (Engine.now () - t0)
-  end;
-  tl_wait !waited t0
-
-let rec send_all ch = function
-  | [] -> ()
+let rec send_all ch vs waited =
+  match vs with
+  | [] -> waited
   | v :: tl ->
-      wait_nonfull ch;
-      Ring.push ch.q v;
-      ch.total_sent <- ch.total_sent + 1;
-      Engine.signal ch.nonempty;
-      send_all ch tl
+      let waited = wait_nonfull ch waited in
+      emit_send ch (push ch v);
+      send_all ch tl waited
 
 let send_batch ch vs =
   Engine.compute_in ch.eng ch.op_cost;
-  if instrumented () then send_batch_slow ch vs else send_all ch vs
-
-(* Dequeue at least one and at most [max] items (default: everything
-   queued) for a single [chan_op] charge. *)
-let recv_batch_slow ~limit ch =
-  let waited = ref false in
-  let t0 = if observing () then Engine.now () else 0 in
-  while Ring.is_empty ch.q do
-    waited := true;
-    if not (Engine.flush_charges ch.eng) then Engine.wait_on_in ch.eng ch.nonempty
-  done;
-  let limit = match limit with -1 -> Ring.length ch.q | m -> m in
-  let out = ref [] in
-  let taken = ref 0 in
-  let base = ch.total_received in
-  while !taken < limit && not (Ring.is_empty ch.q) do
-    out := Ring.pop ch.q :: !out;
-    incr taken
-  done;
-  ch.total_received <- base + !taken;
-  if Hb.enabled () then
-    for i = 0 to !taken - 1 do
-      hb_recv ch (base + i)
-    done;
-  if Trace.enabled () then
-    for i = 0 to !taken - 1 do
-      emit_recv ch (base + i)
-    done;
-  Engine.broadcast ch.nonfull;
-  if Metrics.enabled () then begin
-    let h = handles ch in
-    Metrics.inc_by h.cm_recvs !taken;
-    Metrics.set_gauge h.cm_depth (float_of_int (Ring.length ch.q));
-    if !waited then Metrics.observe_ns h.cm_recv_block (Engine.now () - t0)
-  end;
-  tl_wait !waited t0;
-  List.rev !out
+  let t0 = Engine.time ch.eng in
+  let waited = send_all ch vs false in
+  note_send ch (List.length vs) waited t0
 
 (* Claim up to [n] queued items in FIFO order; the caller has ensured the
    queue is nonempty.  Builds the result front-first so no reversal (and
    no accumulator cells) is needed. *)
-let rec take_n ch n =
+let[@tail_mod_cons] rec take_n ch n =
   if n = 0 || Ring.is_empty ch.q then []
   else begin
     let v = Ring.pop ch.q in
-    ch.total_received <- ch.total_received + 1;
+    emit_recv ch (popped ch);
     v :: take_n ch (n - 1)
   end
 
+(* Dequeue at least one and at most [max] items (default: everything
+   queued) for a single [chan_op] charge. *)
 let recv_batch ?max ch =
   Engine.charge ch.eng ch.op_cost;
   let limit =
@@ -404,13 +304,13 @@ let recv_batch ?max ch =
         m
     | None -> -1
   in
-  if instrumented () then recv_batch_slow ~limit ch
-  else begin
-    wait_nonempty ch;
-    let out = take_n ch (if limit = -1 then Ring.length ch.q else limit) in
-    Engine.broadcast ch.nonfull;
-    out
-  end
+  let t0 = Engine.time ch.eng in
+  let waited = wait_nonempty ch false in
+  let base = ch.total_received in
+  let out = take_n ch (if limit = -1 then Ring.length ch.q else limit) in
+  Engine.broadcast ch.nonfull;
+  note_recv ch (ch.total_received - base) waited t0;
+  out
 
 (* Keep only the items satisfying [keep], preserving order; returns how many
    were removed.  Used to strip pause sentinels from work queues on
@@ -419,16 +319,15 @@ let filter ch keep =
   (* A flush is a real channel operation: charge one op of virtual time so
      the reconfiguration overhead ledger sees a nonzero flush phase. *)
   Engine.compute_in ch.eng ch.op_cost;
-  let removed = ref (Ring.filter_in_place keep ch.q) in
-  if !removed > 0 then Engine.broadcast ch.nonfull;
-  if Parcae_obs.Trace.enabled () then
-    Parcae_obs.Trace.emit ~t:(Engine.now ())
-      (Parcae_obs.Event.Chan_flush { chan = ch.name; dropped = !removed });
+  let removed = Ring.filter_in_place keep ch.q in
+  if removed > 0 then Engine.broadcast ch.nonfull;
+  if Trace.enabled () then
+    Trace.emit ~t:(Engine.time ch.eng) (Event.Chan_flush { chan = ch.name; dropped = removed });
   if Metrics.enabled () then begin
-    Metrics.inc_by (handles ch).cm_flushed !removed;
+    Metrics.inc_by (handles ch).cm_flushed removed;
     note_depth ch
   end;
-  !removed
+  removed
 
 (* Discard all queued items; used when the runtime resets communication
    channels on resumption after a reconfiguration (Section 4.5). *)
@@ -437,9 +336,8 @@ let drain ch =
   let n = Ring.length ch.q in
   Ring.clear ch.q;
   Engine.broadcast ch.nonfull;
-  if Parcae_obs.Trace.enabled () then
-    Parcae_obs.Trace.emit ~t:(Engine.now ())
-      (Parcae_obs.Event.Chan_flush { chan = ch.name; dropped = n });
+  if Trace.enabled () then
+    Trace.emit ~t:(Engine.time ch.eng) (Event.Chan_flush { chan = ch.name; dropped = n });
   if Metrics.enabled () then begin
     Metrics.inc_by (handles ch).cm_flushed n;
     note_depth ch

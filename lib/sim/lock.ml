@@ -59,31 +59,31 @@ let handles l =
 
 let cost l = if l.op_cost >= 0 then l.op_cost else (Engine.machine (Engine.engine ())).Machine.lock_op
 
+(* Wait until nobody holds [l]; returns whether the caller had to wait.
+   A top-level loop, so an acquisition allocates no closure. *)
+let rec wait_free l me waited =
+  match l.held_by with
+  | None -> waited
+  | Some owner when owner == me -> invalid_arg (l.name ^ ": recursive acquire")
+  | Some _ ->
+      Engine.wait_on l.available;
+      wait_free l me true
+
 let acquire l =
   Engine.compute (cost l);
   let me = Engine.self () in
-  let waited = ref false in
   let t0 = if Metrics.enabled () then Engine.now () else 0 in
-  let rec loop () =
-    match l.held_by with
-    | None ->
-        l.held_by <- Some me;
-        l.acquisitions <- l.acquisitions + 1;
-        if !waited then l.contended <- l.contended + 1
-    | Some owner when owner == me -> invalid_arg (l.name ^ ": recursive acquire")
-    | Some _ ->
-        waited := true;
-        Engine.wait_on l.available;
-        loop ()
-  in
-  loop ();
+  let waited = wait_free l me false in
+  l.held_by <- Some me;
+  l.acquisitions <- l.acquisitions + 1;
+  if waited then l.contended <- l.contended + 1;
   (* Acquire the lock's release clock: the previous critical section
      happens-before this one. *)
   if Hb.enabled () then Hb.on_acquire ~task:me.Engine.tid ~key:("lock:" ^ l.name);
   if Metrics.enabled () then begin
     let h = handles l in
     Metrics.inc h.lm_acquisitions;
-    if !waited then begin
+    if waited then begin
       Metrics.inc h.lm_contended;
       Metrics.observe_ns h.lm_wait (Engine.now () - t0)
     end

@@ -73,78 +73,6 @@ module Ewma = struct
   let reset t = t.primed <- false
 end
 
-(* Bounded uniform sample of an unbounded observation stream (Vitter's
-   Algorithm R) with exact running aggregates.  The benchmark harness keeps
-   response times here so percentile reporting stays O(capacity) memory no
-   matter how long a server run is.  Replacement indices come from a
-   fixed-seed 64-bit LCG, so same-seed runs keep byte-identical samples. *)
-module Reservoir = struct
-  type t = {
-    buf : float array;
-    mutable n : int;  (* observations ever seen *)
-    mutable len : int;  (* filled slots, <= capacity *)
-    mutable sum : float;
-    mutable min_v : float;
-    mutable max_v : float;
-    mutable state : int64;  (* LCG state *)
-  }
-
-  let default_capacity = 8192
-
-  let create ?(capacity = default_capacity) ?(seed = 1) () =
-    if capacity <= 0 then invalid_arg "Reservoir.create: capacity must be positive";
-    {
-      buf = Array.make capacity 0.0;
-      n = 0;
-      len = 0;
-      sum = 0.0;
-      min_v = infinity;
-      max_v = neg_infinity;
-      state = Int64.of_int seed;
-    }
-
-  (* Knuth's MMIX LCG; the high bits feed the bounded draw. *)
-  let draw t bound =
-    t.state <- Int64.add (Int64.mul t.state 6364136223846793005L) 1442695040888963407L;
-    Int64.to_int (Int64.shift_right_logical t.state 17) mod bound
-
-  let observe t x =
-    t.n <- t.n + 1;
-    t.sum <- t.sum +. x;
-    if x < t.min_v then t.min_v <- x;
-    if x > t.max_v then t.max_v <- x;
-    let cap = Array.length t.buf in
-    if t.len < cap then begin
-      t.buf.(t.len) <- x;
-      t.len <- t.len + 1
-    end
-    else begin
-      let j = draw t t.n in
-      if j < cap then t.buf.(j) <- x
-    end
-
-  let count t = t.n
-  let sample_count t = t.len
-  let capacity t = Array.length t.buf
-  let sum t = t.sum
-  let mean t = if t.n = 0 then 0.0 else t.sum /. float_of_int t.n
-
-  let samples t = Array.sub t.buf 0 t.len
-
-  let percentile p t = percentile p (samples t)
-
-  let min_max t =
-    if t.n = 0 then invalid_arg "Stats.Reservoir.min_max: empty sample";
-    (t.min_v, t.max_v)
-
-  let reset t =
-    t.n <- 0;
-    t.len <- 0;
-    t.sum <- 0.0;
-    t.min_v <- infinity;
-    t.max_v <- neg_infinity
-end
-
 (* Windowed mean over the last [capacity] observations; used where a bounded
    memory of recent iterations matters more than smooth decay. *)
 module Window = struct

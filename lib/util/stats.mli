@@ -55,48 +55,6 @@ module Ewma : sig
   val reset : t -> unit
 end
 
-(** Bounded uniform sample of an unbounded stream (Vitter's Algorithm R)
-    with exact running count/sum/min/max.  Replacement uses a fixed-seed
-    LCG, so same-seed runs keep byte-identical samples. *)
-module Reservoir : sig
-  type t
-
-  val default_capacity : int
-  (** 8192 samples. *)
-
-  val create : ?capacity:int -> ?seed:int -> unit -> t
-  (** @raise Invalid_argument if [capacity] is not positive. *)
-
-  val observe : t -> float -> unit
-
-  val count : t -> int
-  (** Observations ever seen (not capped). *)
-
-  val sample_count : t -> int
-  (** Retained samples, [min count capacity]. *)
-
-  val capacity : t -> int
-
-  val sum : t -> float
-  (** Exact running sum over all observations. *)
-
-  val mean : t -> float
-  (** Exact mean over all observations; 0 when empty. *)
-
-  val samples : t -> float array
-  (** Copy of the retained sample, unsorted. *)
-
-  val percentile : float -> t -> float
-  (** Estimated from the retained sample; exact while [count <= capacity].
-      @raise Invalid_argument on an empty reservoir or out-of-range [p]. *)
-
-  val min_max : t -> float * float
-  (** Exact extremes over all observations.
-      @raise Invalid_argument on an empty reservoir. *)
-
-  val reset : t -> unit
-end
-
 (** Mean over a sliding window of the last [capacity] observations. *)
 module Window : sig
   type t

@@ -1,16 +1,12 @@
 (* Response-time and throughput bookkeeping for the server workloads.
 
-   Samples are held in bounded reservoirs (Stats.Reservoir), so a long
-   [serve] run uses O(capacity) memory instead of growing a list per
-   request: means stay exact (running sums), percentiles are exact until
-   the reservoir overflows and a uniform-sample estimate after.  When a
-   metrics registry is installed the same observations also feed the
-   [parcae_request_*] counter and histogram families, which is what the
-   live dashboard and the Prometheus exposition read. *)
+   Memory is constant per run: means come from running sums, latency
+   quantiles from one HDR distribution.  When a metrics registry is
+   installed the same observations also feed the [parcae_request_*]
+   counter and histogram families, which is what the live dashboard and
+   the Prometheus exposition read. *)
 
 module Engine = Parcae_platform.Engine
-module Series = Parcae_util.Series
-module Stats = Parcae_util.Stats
 module Obs = Parcae_obs.Metrics
 module Hdr = Parcae_obs.Hdr
 module Span = Parcae_obs.Span
@@ -22,48 +18,45 @@ type req_metrics = {
   rm_exec : Obs.histogram;
 }
 
+(* Running sums of seconds.  An all-float record is stored flat, so
+   adding to a field boxes nothing. *)
+type sums = { mutable response_s : float; mutable exec_s : float }
+
 type t = {
   eng : Engine.t;
-  responses : Stats.Reservoir.t;  (* seconds, arrival to completion *)
-  exec_times : Stats.Reservoir.t;  (* seconds of processing (no queue wait) *)
+  sums : sums;
+  mutable executed : int;  (* completions with a start stamp *)
   mutable completed : int;
   mutable submitted : int;
   mutable first_completion_ns : int;
   mutable last_completion_ns : int;
-  throughput_series : Series.t;  (* optional live samples *)
   lat_hdr : Hdr.t;
       (* always-on end-to-end latency distribution, integer ns: latency
          quantiles on the serve path come from here (bounded relative
-         error, deterministic), not from the response reservoir, whose
-         percentile estimate depends on the sampling seed once it
-         overflows.  Reservoirs stay for means and workload-internal
-         stats (DESIGN.md section 15). *)
+         error, deterministic; DESIGN.md section 15). *)
   mutable mx : (Obs.t * req_metrics) option;
 }
 
-let default_reservoir_capacity = Stats.Reservoir.default_capacity
-
-let create ?(reservoir_capacity = default_reservoir_capacity) eng =
+let create eng =
   {
     eng;
-    responses = Stats.Reservoir.create ~capacity:reservoir_capacity ();
-    exec_times = Stats.Reservoir.create ~capacity:reservoir_capacity ();
+    sums = { response_s = 0.0; exec_s = 0.0 };
+    executed = 0;
     completed = 0;
     submitted = 0;
     first_completion_ns = -1;
     last_completion_ns = -1;
-    throughput_series = Series.create "completions";
     lat_hdr = Hdr.create ();
     mx = None;
   }
 
-(* Rewind to a fresh state without reallocating: the reservoirs keep their
-   sample buffers, so repeated batch runs (max-throughput searches, the
-   allocation bench) reuse one [t] instead of growing garbage per run.
+(* Rewind to a fresh state without reallocating, so repeated batch runs
+   (max-throughput searches, the allocation bench) reuse one [t].
    Registry counters are cumulative by design and are left alone. *)
 let reset t =
-  Stats.Reservoir.reset t.responses;
-  Stats.Reservoir.reset t.exec_times;
+  t.sums.response_s <- 0.0;
+  t.sums.exec_s <- 0.0;
+  t.executed <- 0;
   t.completed <- 0;
   t.submitted <- 0;
   t.first_completion_ns <- -1;
@@ -111,10 +104,12 @@ let note_complete t (req : Request.t) =
   let lat_ns = now - req.Request.arrival_ns in
   Hdr.observe t.lat_hdr lat_ns;
   let resp = Engine.seconds_of_ns lat_ns in
-  Stats.Reservoir.observe t.responses resp;
+  t.sums.response_s <- t.sums.response_s +. resp;
   let started = req.Request.start_ns >= 0 in
-  if started then
-    Stats.Reservoir.observe t.exec_times (Engine.seconds_of_ns (now - req.Request.start_ns));
+  if started then begin
+    t.sums.exec_s <- t.sums.exec_s +. Engine.seconds_of_ns (now - req.Request.start_ns);
+    t.executed <- t.executed + 1
+  end;
   t.completed <- t.completed + 1;
   if t.first_completion_ns < 0 then t.first_completion_ns <- now;
   t.last_completion_ns <- now;
@@ -126,21 +121,15 @@ let note_complete t (req : Request.t) =
       Obs.observe h.rm_exec (Engine.seconds_of_ns (now - req.Request.start_ns))
   end
 
-let responses t = Stats.Reservoir.samples t.responses
-let exec_times t = Stats.Reservoir.samples t.exec_times
-
-(* Mean per-request execution time (T_exec of Equation 2.1).  Exact: the
-   reservoir keeps running sums over every observation. *)
-let mean_exec t =
-  if Stats.Reservoir.count t.exec_times = 0 then nan else Stats.Reservoir.mean t.exec_times
+(* Mean per-request execution time (T_exec of Equation 2.1), exact over
+   every completion. *)
+let mean_exec t = if t.executed = 0 then nan else t.sums.exec_s /. float_of_int t.executed
 
 let mean_response t =
-  if Stats.Reservoir.count t.responses = 0 then nan else Stats.Reservoir.mean t.responses
+  if t.completed = 0 then nan else t.sums.response_s /. float_of_int t.completed
 
 (* Latency quantiles read the HDR distribution: deterministic and exact
-   to the configured relative error over every completion, where the
-   reservoir percentile becomes a seed-dependent estimate after
-   overflow. *)
+   to the configured relative error over every completion. *)
 let latency_quantile_ns t q = Hdr.quantile t.lat_hdr q
 
 let response_quantile t q =
@@ -158,11 +147,3 @@ let throughput t =
     if span <= 0 then 0.0
     else float_of_int (t.completed - 1) /. Engine.seconds_of_ns span
   end
-
-let throughput_series t = t.throughput_series
-
-let sample_throughput t ~window_completed ~window_ns =
-  if window_ns > 0 then
-    Series.add t.throughput_series
-      ~time:(Engine.seconds_of_ns (Engine.time t.eng))
-      ~value:(float_of_int window_completed /. Engine.seconds_of_ns window_ns)

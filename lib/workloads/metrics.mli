@@ -1,24 +1,20 @@
 (** Response-time and throughput bookkeeping for the server workloads.
 
-    Memory is bounded: samples live in {!Parcae_util.Stats.Reservoir}s of
-    [reservoir_capacity] entries, so means are exact (running sums) and
-    percentiles are exact until the reservoir overflows, a uniform-sample
-    estimate after.  When a metrics registry is installed
+    Memory is constant: means are exact running sums and latency
+    quantiles come from one HDR distribution.  When a metrics registry is
+    installed
     ({!Parcae_obs.Metrics.set}), every observation also feeds the
     [parcae_requests_*_total] counters and the [parcae_response_seconds] /
     [parcae_exec_seconds] histograms. *)
 
 type t
 
-val default_reservoir_capacity : int
-(** {!Parcae_util.Stats.Reservoir.default_capacity} (8192). *)
-
-val create : ?reservoir_capacity:int -> Parcae_platform.Engine.t -> t
+val create : Parcae_platform.Engine.t -> t
 
 val reset : t -> unit
-(** Rewind counts, completion stamps and both reservoirs to a fresh state,
-    reusing the existing sample buffers — repeated batch runs can share
-    one [t] without per-run allocation.  Cumulative registry counters are
+(** Rewind counts, sums, completion stamps and the latency distribution
+    to a fresh state in place — repeated batch runs can share one [t]
+    without per-run allocation.  Cumulative registry counters are
     unaffected. *)
 
 val submitted : t -> int
@@ -28,18 +24,11 @@ val note_submit : t -> unit
 
 val note_complete : t -> Request.t -> unit
 (** Record the completion of a request at the current virtual time:
-    updates the response-time and execution-time samples. *)
-
-val responses : t -> float array
-(** Retained response-time samples, seconds — the full history while at
-    most [reservoir_capacity] requests completed, a uniform subsample
-    after (order then no longer meaningful). *)
-
-val exec_times : t -> float array
-(** Retained execution-time samples (processing only, no queue wait);
-    bounded like {!responses}. *)
+    updates the response-time and execution-time sums and the latency
+    distribution. *)
 
 val mean_response : t -> float
+(** Mean response time in seconds; [nan] before the first completion. *)
 
 val p95_response : t -> float
 (** [response_quantile t 0.95]. *)
@@ -47,9 +36,7 @@ val p95_response : t -> float
 val response_quantile : t -> float -> float
 (** Latency quantile in seconds from the always-on HDR distribution —
     deterministic and within the configured relative error over {e every}
-    completion, unlike the reservoir percentile, which becomes a
-    seed-dependent estimate once the reservoir overflows.  [nan] before
-    the first completion. *)
+    completion.  [nan] before the first completion. *)
 
 val latency_quantile_ns : t -> float -> int
 (** The same quantile in integer nanoseconds (0 before the first
@@ -57,13 +44,8 @@ val latency_quantile_ns : t -> float -> int
 
 val mean_exec : t -> float
 (** Mean per-request execution time (T_exec of Equation 2.1); exact over
-    all completions regardless of reservoir capacity. *)
+    all completions that recorded a start. *)
 
 val throughput : t -> float
 (** Sustained completion throughput, requests/second, first to last
     completion. *)
-
-val throughput_series : t -> Parcae_util.Series.t
-
-val sample_throughput : t -> window_completed:int -> window_ns:int -> unit
-(** Append a live throughput sample to {!throughput_series}. *)

@@ -483,36 +483,6 @@ let test_recv_batch_during_pause () =
   check_int "all items consumed across the pause" diff_items o.count;
   check_bool "batch ops ran against the paused engine" true (!reshuffled = 3 || !reshuffled = -1)
 
-(* The empty-reservoir contracts must hold when exercised from code running
-   on a native domain, exactly as they do on the simulator's cooperative
-   threads — latency percentiles are computed from worker-side reservoirs on
-   both backends. *)
-let test_native_empty_reservoir_contracts () =
-  let module Res = Parcae_util.Stats.Reservoir in
-  let checked = ref false in
-  let eng = Engine.create_native ~pool:1 () in
-  ignore
-    (Engine.spawn eng ~name:"probe" (fun () ->
-         let r = Res.create ~capacity:16 ~seed:5 () in
-         check_int "empty count" 0 (Res.count r);
-         check_int "empty sample_count" 0 (Res.sample_count r);
-         check_bool "empty sum" true (Res.sum r = 0.0);
-         check_bool "empty mean" true (Res.mean r = 0.0);
-         check_bool "empty samples" true (Res.samples r = [||]);
-         (match Res.percentile 50.0 r with
-         | _ -> Alcotest.fail "percentile on empty reservoir must raise"
-         | exception Invalid_argument _ -> ());
-         (match Res.min_max r with
-         | _ -> Alcotest.fail "min_max on empty reservoir must raise"
-         | exception Invalid_argument _ -> ());
-         (* reset on an already-empty reservoir is a no-op, not an error. *)
-         Res.reset r;
-         check_int "reset keeps it empty" 0 (Res.count r);
-         checked := true));
-  ignore (Engine.run eng);
-  Engine.shutdown eng;
-  check_bool "contract checks ran on the native domain" true !checked
-
 (* ------------------------------------------------------------------ *)
 (* The native channel core and the lane-local Decima counts.           *)
 (* ------------------------------------------------------------------ *)
@@ -734,8 +704,6 @@ let suite =
       test_batch_multi_producer;
     Alcotest.test_case "chan: recv_batch during a pause barrier" `Quick
       test_recv_batch_during_pause;
-    Alcotest.test_case "native: empty-reservoir contracts hold on domains" `Quick
-      test_native_empty_reservoir_contracts;
     Alcotest.test_case "chan: batched ops charge one op per batch" `Quick
       test_batch_single_charge;
     Alcotest.test_case "native: batch ops and drain pass the trace oracle" `Quick

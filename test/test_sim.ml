@@ -393,6 +393,138 @@ let test_no_retention_of_finished_threads () =
     (Printf.sprintf "%.2f live words retained per finished thread (limit 1)" per_thread)
     true (per_thread <= 1.0)
 
+(* A receive's sequence number must be the one its item was sent under.
+   [try_recv] pops before it charges, and the charge can suspend (every
+   fifth 1 µs op reaches the 5 µs charge quantum): a [recv] running in
+   that window must not take the number of the item popped before it. *)
+let test_try_recv_numbers_at_pop () =
+  let module Obs = Parcae_obs in
+  let eng = Engine.create (machine ()) in
+  let n = 2000 in
+  let ch = Chan.create ~op_cost:1000 eng "c" in
+  let a_tid = ref (-1) and a_values = ref [] in
+  let consumer_a () =
+    a_tid := (Engine.self ()).Engine.tid;
+    let rec loop () =
+      match Chan.try_recv ch with
+      | Some v ->
+          a_values := v :: !a_values;
+          Engine.compute 3100;
+          loop ()
+      | None -> ()
+    in
+    loop ()
+  in
+  let consumer_b () =
+    while not (Chan.is_empty ch) do
+      ignore (Chan.recv ch : int);
+      Engine.compute 2900
+    done
+  in
+  let sink = Obs.Sink.create ~capacity:(4 * n) () in
+  Obs.Trace.with_sink sink (fun () ->
+      ignore
+        (Engine.spawn eng ~name:"producer" (fun () ->
+             for i = 0 to n - 1 do
+               Chan.send ch i
+             done;
+             ignore (Engine.spawn_thread ~name:"a" consumer_a);
+             ignore (Engine.spawn_thread ~name:"b" consumer_b)));
+      ignore (Engine.run eng));
+  let a_seqs =
+    List.filter_map
+      (fun (e : Obs.Event.t) ->
+        match e.Obs.Event.kind with
+        | Obs.Event.Chan_recv_ev { seq; task; _ } when task = !a_tid -> Some seq
+        | _ -> None)
+      (Obs.Sink.events sink)
+  in
+  let a_values = List.rev !a_values in
+  check_int "every item received once" n (Chan.total_received ch);
+  check_bool "both consumers received" true
+    (List.length a_values > 0 && List.length a_values < n);
+  check_int "one trace event per try_recv" (List.length a_values) (List.length a_seqs);
+  let mismatched =
+    List.fold_left2 (fun k v seq -> if v = seq then k else k + 1) 0 a_values a_seqs
+  in
+  check_int "try_recv numbers match the sends" 0 mismatched
+
+(* One bounded-channel schedule, run with every sink off and then with
+   metrics, trace, timeline and the HB sanitizer all installed: observing
+   must not change what the channel does.  Capacity 2 with two producers
+   makes both senders and receivers block, so the blocking branches run
+   under instrumentation too. *)
+let bounded_chan_schedule () =
+  let eng = Engine.create (machine ()) in
+  let ch = Chan.create ~capacity:2 eng "c" in
+  let per_producer = 120 in
+  let total = 2 * per_producer in
+  let got = Array.make 2 [] in
+  let producer p () =
+    for i = 0 to (per_producer / 2) - 1 do
+      let v = (p * 1000) + (2 * i) in
+      if i mod 4 = 1 then Chan.send_batch ch [ v; v + 1 ]
+      else begin
+        (match i mod 4 with
+        | 0 -> Chan.send ch v
+        | 2 -> Chan.force_send ch v
+        | _ -> if not (Chan.try_send ch v) then Chan.send ch v);
+        Chan.send ch (v + 1)
+      end;
+      Engine.compute (300 + (400 * p))
+    done
+  in
+  let consumer c () =
+    let take vs = got.(c) <- List.rev_append vs got.(c) in
+    let k = ref 0 in
+    while Chan.total_received ch < total do
+      (match !k mod 3 with
+      | 0 -> take [ Chan.recv ch ]
+      | 1 -> take (Chan.recv_batch ~max:3 ch)
+      | _ -> (
+          match Chan.try_recv ch with Some v -> take [ v ] | None -> Engine.compute 150));
+      incr k;
+      Engine.compute (900 + (500 * c))
+    done
+  in
+  ignore (Engine.spawn eng ~name:"p0" (producer 0));
+  ignore (Engine.spawn eng ~name:"p1" (producer 1));
+  ignore (Engine.spawn eng ~name:"c0" (consumer 0));
+  ignore (Engine.spawn eng ~name:"c1" (consumer 1));
+  ignore (Engine.run eng);
+  (Array.map List.rev got, Chan.total_sent ch, Chan.total_received ch, Engine.time eng)
+
+let test_observing_keeps_bounded_chan () =
+  let module Obs = Parcae_obs in
+  let plain = bounded_chan_schedule () in
+  let reg = Obs.Metrics.create () in
+  let sink = Obs.Sink.create ~capacity:100_000 () in
+  let tl = Obs.Timeline.create ~lanes:4 ~now:0 () in
+  let hb = Obs.Hb.create () in
+  let observed =
+    Obs.Metrics.with_registry reg (fun () ->
+        Obs.Trace.with_sink sink (fun () ->
+            Obs.Timeline.with_timeline tl (fun () ->
+                Obs.Hb.with_tracker hb bounded_chan_schedule)))
+  in
+  let got, sent, received, until = plain in
+  let got', sent', received', until' = observed in
+  check_int "all sent" 240 sent;
+  check_int "all received" sent received;
+  check_bool "both consumers took items" true (got.(0) <> [] && got.(1) <> []);
+  Alcotest.(check (list int)) "consumer 0 values" got.(0) got'.(0);
+  Alcotest.(check (list int)) "consumer 1 values" got.(1) got'.(1);
+  check_int "total sent" sent sent';
+  check_int "total received" received received';
+  check_int "end time" until until';
+  check_bool "trace recorded the channel" true (Obs.Sink.length sink > 0);
+  let blocks name =
+    Obs.Metrics.histogram_count
+      (Obs.Metrics.histogram reg name ~labels:[ ("chan", "c") ])
+  in
+  check_bool "senders blocked" true (blocks "parcae_chan_send_block_ns" > 0);
+  check_bool "receivers blocked" true (blocks "parcae_chan_recv_block_ns" > 0)
+
 let suite =
   [
     Alcotest.test_case "engine: single compute" `Quick test_single_compute;
@@ -407,6 +539,9 @@ let suite =
     Alcotest.test_case "chan: capacity" `Quick test_chan_capacity_blocks_sender;
     Alcotest.test_case "chan: try ops" `Quick test_chan_try_ops;
     Alcotest.test_case "chan: drain" `Quick test_chan_drain;
+    Alcotest.test_case "chan: try_recv numbers at the pop" `Quick test_try_recv_numbers_at_pop;
+    Alcotest.test_case "chan: observing keeps a bounded channel's schedule" `Quick
+      test_observing_keeps_bounded_chan;
     Alcotest.test_case "lock: mutual exclusion" `Quick test_lock_mutual_exclusion;
     Alcotest.test_case "barrier: releases together" `Quick test_barrier;
     Alcotest.test_case "barrier: reusable" `Quick test_barrier_reusable;

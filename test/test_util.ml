@@ -180,91 +180,6 @@ let test_stats_nan_ordering () =
   check_float "p100 ignores NaN position" 3.0 (Stats.percentile 100.0 a);
   Alcotest.(check bool) "p0 is the NaN" true (Float.is_nan (Stats.percentile 0.0 a))
 
-let test_reservoir_exact_until_capacity () =
-  let r = Stats.Reservoir.create ~capacity:8 () in
-  check_float "empty reservoir mean is 0" 0.0 (Stats.Reservoir.mean r);
-  Alcotest.check_raises "empty reservoir min_max raises"
-    (Invalid_argument "Stats.Reservoir.min_max: empty sample") (fun () ->
-      ignore (Stats.Reservoir.min_max r));
-  List.iter (Stats.Reservoir.observe r) [ 4.0; 1.0; 3.0; 2.0 ];
-  (* Below capacity the reservoir is the exact sample. *)
-  check_int "count" 4 (Stats.Reservoir.count r);
-  check_int "all retained" 4 (Stats.Reservoir.sample_count r);
-  check_float "exact sum" 10.0 (Stats.Reservoir.sum r);
-  check_float "exact mean" 2.5 (Stats.Reservoir.mean r);
-  check_float "exact median" 2.5 (Stats.Reservoir.percentile 50.0 r);
-  let lo, hi = Stats.Reservoir.min_max r in
-  check_float "exact min" 1.0 lo;
-  check_float "exact max" 4.0 hi
-
-let test_reservoir_bounded_beyond_capacity () =
-  let cap = 64 in
-  let r = Stats.Reservoir.create ~capacity:cap ~seed:3 () in
-  let n = 10_000 in
-  for i = 1 to n do
-    Stats.Reservoir.observe r (float_of_int i)
-  done;
-  check_int "sees every observation" n (Stats.Reservoir.count r);
-  check_int "memory stays bounded" cap (Stats.Reservoir.sample_count r);
-  (* Aggregates stay exact even after subsampling kicks in... *)
-  check_float "sum exact" (float_of_int (n * (n + 1) / 2)) (Stats.Reservoir.sum r);
-  check_float "mean exact" (float_of_int (n + 1) /. 2.0) (Stats.Reservoir.mean r);
-  let lo, hi = Stats.Reservoir.min_max r in
-  check_float "min exact" 1.0 lo;
-  check_float "max exact" (float_of_int n) hi;
-  (* ...while percentiles become estimates over a uniform subsample. *)
-  let p50 = Stats.Reservoir.percentile 50.0 r in
-  Alcotest.(check bool)
-    (Printf.sprintf "median estimate %.0f within the data range" p50)
-    true
-    (p50 >= 1.0 && p50 <= float_of_int n);
-  (* Same seed, same stream: byte-identical retained samples. *)
-  let r2 = Stats.Reservoir.create ~capacity:cap ~seed:3 () in
-  for i = 1 to n do
-    Stats.Reservoir.observe r2 (float_of_int i)
-  done;
-  Alcotest.(check bool) "deterministic subsample" true
-    (Stats.Reservoir.samples r = Stats.Reservoir.samples r2);
-  Stats.Reservoir.reset r;
-  check_int "reset forgets the stream" 0 (Stats.Reservoir.count r);
-  check_int "reset empties the sample" 0 (Stats.Reservoir.sample_count r)
-
-(* Vitter's Algorithm R is driven entirely by the reservoir's own RNG, so a
-   fixed seed must make the whole observable surface — retained sample,
-   every percentile, extremes — reproducible run to run.  The flight
-   recorder's replay guarantee leans on this: percentiles recorded in a log
-   can be regenerated offline from the same stream. *)
-let test_reservoir_seeded_determinism () =
-  let stream r =
-    for i = 1 to 5_000 do
-      Stats.Reservoir.observe r (float_of_int ((i * 7919) mod 1000))
-    done
-  in
-  let make seed =
-    let r = Stats.Reservoir.create ~capacity:32 ~seed () in
-    stream r;
-    r
-  in
-  let a = make 17 and b = make 17 in
-  Alcotest.(check bool) "same seed: identical retained samples" true
-    (Stats.Reservoir.samples a = Stats.Reservoir.samples b);
-  List.iter
-    (fun p ->
-      check_float
-        (Printf.sprintf "same seed: identical p%.0f" p)
-        (Stats.Reservoir.percentile p a)
-        (Stats.Reservoir.percentile p b))
-    [ 0.0; 25.0; 50.0; 90.0; 99.0; 100.0 ];
-  let lo_a, hi_a = Stats.Reservoir.min_max a and lo_b, hi_b = Stats.Reservoir.min_max b in
-  check_float "same seed: identical min" lo_a lo_b;
-  check_float "same seed: identical max" hi_a hi_b;
-  (* A different seed keeps a different subsample of the same stream (the
-     aggregates stay exact regardless). *)
-  let c = make 18 in
-  Alcotest.(check bool) "different seed: different subsample" true
-    (Stats.Reservoir.samples a <> Stats.Reservoir.samples c);
-  check_float "sum independent of seed" (Stats.Reservoir.sum a) (Stats.Reservoir.sum c)
-
 let test_ewma () =
   let e = Stats.Ewma.create ~alpha:0.5 in
   Alcotest.(check bool) "not primed" false (Stats.Ewma.primed e);
@@ -384,12 +299,6 @@ let suite =
     Alcotest.test_case "stats: empty-input contract" `Quick test_stats_empty_contract;
     Alcotest.test_case "stats: single-element percentiles" `Quick test_stats_single_element;
     Alcotest.test_case "stats: NaN ordering is deterministic" `Quick test_stats_nan_ordering;
-    Alcotest.test_case "stats: reservoir exact below capacity" `Quick
-      test_reservoir_exact_until_capacity;
-    Alcotest.test_case "stats: reservoir bounded beyond capacity" `Quick
-      test_reservoir_bounded_beyond_capacity;
-    Alcotest.test_case "stats: reservoir deterministic under fixed seed" `Quick
-      test_reservoir_seeded_determinism;
     Alcotest.test_case "stats: ewma" `Quick test_ewma;
     Alcotest.test_case "stats: window" `Quick test_window;
     Alcotest.test_case "pqueue: order" `Quick test_pqueue_order;
